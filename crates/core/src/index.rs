@@ -21,7 +21,8 @@ use crate::metric::{Metric, WeightScheme};
 use crate::numeric::NumericCodec;
 use crate::packed::{self, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
-use crate::query::{exact_distance, Query, QueryStats, QueryValue};
+use crate::query::{Query, QueryStats, QueryValue};
+use crate::refine::Refiner;
 use crate::tier::{
     build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
     TupleColumn, TUPLE_KEY,
@@ -931,23 +932,26 @@ impl IvaIndex {
         let mut diffs = vec![0.0f64; query.len()];
         let ndf = self.header.config.ndf_penalty;
 
+        let mut refiner = Refiner::new(query, lambda, metric, ndf);
+
         // Deferred admitted candidates, `(ptr, est)` in scan order.
         let mut pending: Vec<(u64, f64)> = Vec::new();
         let flush = |pending: &mut Vec<(u64, f64)>,
                      pool: &mut ResultPool,
-                     stats: &mut QueryStats|
+                     stats: &mut QueryStats,
+                     refiner: &mut Refiner<'_, M>|
          -> Result<()> {
             let ptrs: Vec<RecordPtr> = pending.iter().map(|&(p, _)| RecordPtr(p)).collect();
-            let recs = table.get_batch(&ptrs)?;
-            for (&(ptr, est), rec) in pending.iter().zip(&recs) {
+            let pins = table.file().pin_records(&ptrs)?;
+            for (i, &(ptr, est)) in pending.iter().enumerate() {
                 // Replay the admission test with the now-current pool:
                 // the scan-time test above was at most B−1 inserts stale
                 // (a superset), so re-filtering here reproduces the
                 // unbatched pool evolution exactly.
                 if pool.admits(est) {
                     stats.table_accesses += 1;
-                    let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
-                    pool.insert_at(rec.tid, actual, RecordPtr(ptr));
+                    let (tid, actual) = refiner.fetch_pinned(table, &pins, i, pool.threshold())?;
+                    pool.insert_at(tid, actual, RecordPtr(ptr));
                 } else {
                     stats.speculative_accesses += 1;
                 }
@@ -963,14 +967,14 @@ impl IvaIndex {
                      pool: &mut ResultPool,
                      stats: &mut QueryStats,
                      pending: &mut Vec<(u64, f64)>,
+                     refiner: &mut Refiner<'_, M>,
                      refine_nanos: &mut u64|
          -> Result<()> {
             if refine_batch <= 1 {
                 let refine_start = measured.then(thread_cpu_time);
-                let rec = table.get(RecordPtr(ptr))?;
+                let (tid, actual) = refiner.fetch(table, RecordPtr(ptr), pool.threshold())?;
                 stats.table_accesses += 1;
-                let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
-                pool.insert_at(rec.tid, actual, RecordPtr(ptr));
+                pool.insert_at(tid, actual, RecordPtr(ptr));
                 if let Some(t) = refine_start {
                     *refine_nanos += thread_cpu_time().saturating_sub(t);
                 }
@@ -978,7 +982,7 @@ impl IvaIndex {
                 pending.push((ptr, est));
                 if pending.len() >= refine_batch {
                     let refine_start = measured.then(thread_cpu_time);
-                    flush(pending, pool, stats)?;
+                    flush(pending, pool, stats, refiner)?;
                     if let Some(t) = refine_start {
                         *refine_nanos += thread_cpu_time().saturating_sub(t);
                     }
@@ -1018,7 +1022,15 @@ impl IvaIndex {
                 }
                 let est = metric.combine(&diffs);
                 if pool.admits(est) {
-                    admit(ptr, est, pool, stats, &mut pending, &mut refine_nanos)?;
+                    admit(
+                        ptr,
+                        est,
+                        pool,
+                        stats,
+                        &mut pending,
+                        &mut refiner,
+                        &mut refine_nanos,
+                    )?;
                 }
             }
         } else {
@@ -1032,13 +1044,21 @@ impl IvaIndex {
                 self.lower_bounds_into(&shared, &mut cursors, tid, lambda, ndf, &mut diffs)?;
                 let est = metric.combine(&diffs);
                 if pool.admits(est) {
-                    admit(ptr, est, pool, stats, &mut pending, &mut refine_nanos)?;
+                    admit(
+                        ptr,
+                        est,
+                        pool,
+                        stats,
+                        &mut pending,
+                        &mut refiner,
+                        &mut refine_nanos,
+                    )?;
                 }
             }
         }
         if !pending.is_empty() {
             let refine_start = measured.then(thread_cpu_time);
-            flush(&mut pending, pool, stats)?;
+            flush(&mut pending, pool, stats, &mut refiner)?;
             if let Some(t) = refine_start {
                 refine_nanos += thread_cpu_time().saturating_sub(t);
             }

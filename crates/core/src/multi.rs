@@ -5,7 +5,8 @@
 //! A serving front end that admits several concurrent top-k requests can
 //! run them as a *batch*: the tuple list is read once per scan position —
 //! not once per query — and the refinement fetches of all queries are
-//! pooled into shared page-coalesced [`SwtTable::get_batch`] rounds, so
+//! pooled into shared page-coalesced
+//! [`TableFile::pin_records`](iva_swt::TableFile::pin_records) rounds, so
 //! concurrent queries share buffer-pool pages the way the paper's cost
 //! model assumes (Sec. V-A's cache regime).
 //!
@@ -31,13 +32,14 @@
 
 use iva_swt::{RecordPtr, SwtTable};
 
-use crate::error::{IvaError, Result};
+use crate::error::Result;
 use crate::index::{AttrCursor, IvaIndex, QueryOutcome, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::{Metric, WeightScheme};
 use crate::parallel::QueryOptions;
 use crate::pool::ResultPool;
-use crate::query::{exact_distance, Query, QueryStats};
+use crate::query::{Query, QueryStats};
+use crate::refine::Refiner;
 use crate::timing::thread_cpu_time;
 
 /// One query of a batch submitted to [`IvaIndex::query_batch`].
@@ -53,9 +55,8 @@ pub struct BatchItem<'a> {
 
 /// Private per-query scan state: everything except the tuple-list read and
 /// the physical fetch rounds.
-struct ItemState<'a> {
-    query: &'a Query,
-    lambda: Vec<f64>,
+struct ItemState<'a, M: Metric> {
+    lambda: &'a [f64],
     shared: Vec<SharedAttr>,
     cursors: Vec<AttrCursor>,
     pool: ResultPool,
@@ -63,18 +64,14 @@ struct ItemState<'a> {
     diffs: Vec<f64>,
     /// Admitted-but-not-yet-fetched candidates, `(ptr, est)` in scan order.
     pending: Vec<(u64, f64)>,
+    refiner: Refiner<'a, M>,
 }
 
 /// One shared refinement round: concatenate every item's pending fetches
 /// into a single page-coalesced batch read, then replay each item's
 /// admission test in scan order against its now-current pool (see the
 /// module doc for why this keeps every member bit-identical).
-fn flush_shared<M: Metric>(
-    table: &SwtTable,
-    metric: &M,
-    ndf: f64,
-    items: &mut [ItemState<'_>],
-) -> Result<()> {
+fn flush_shared<M: Metric>(table: &SwtTable, items: &mut [ItemState<'_, M>]) -> Result<()> {
     let mut ptrs: Vec<RecordPtr> = Vec::new();
     for st in items.iter() {
         ptrs.extend(st.pending.iter().map(|&(p, _)| RecordPtr(p)));
@@ -82,20 +79,20 @@ fn flush_shared<M: Metric>(
     if ptrs.is_empty() {
         return Ok(());
     }
-    let recs = table.get_batch(&ptrs)?;
-    let mut recs = recs.iter();
+    let pins = table.file().pin_records(&ptrs)?;
+    let mut i = 0;
     for st in items.iter_mut() {
         for &(ptr, est) in &st.pending {
-            let rec = recs
-                .next()
-                .ok_or_else(|| IvaError::Corrupt("batch fetch shorter than request".into()))?;
             if st.pool.admits(est) {
                 st.stats.table_accesses += 1;
-                let actual = exact_distance(&rec.tuple, st.query, &st.lambda, metric, ndf);
-                st.pool.insert_at(rec.tid, actual, RecordPtr(ptr));
+                let (tid, actual) =
+                    st.refiner
+                        .fetch_pinned(table, &pins, i, st.pool.threshold())?;
+                st.pool.insert_at(tid, actual, RecordPtr(ptr));
             } else {
                 st.stats.speculative_accesses += 1;
             }
+            i += 1;
         }
         st.pending.clear();
     }
@@ -135,13 +132,15 @@ impl IvaIndex {
         let measured = opts.measured;
         let ndf = self.config().ndf_penalty;
 
+        let lambdas: Vec<Vec<f64>> = batch
+            .iter()
+            .map(|it| self.resolve_weights(it.query, it.weights))
+            .collect();
         let mut items = Vec::with_capacity(batch.len());
-        for it in batch {
-            let lambda = self.resolve_weights(it.query, it.weights);
+        for (it, lambda) in batch.iter().zip(&lambdas) {
             let shared = self.prepare_query(it.query)?;
             let cursors = self.open_cursors(&shared)?;
             items.push(ItemState {
-                query: it.query,
                 lambda,
                 shared,
                 cursors,
@@ -149,6 +148,7 @@ impl IvaIndex {
                 stats: QueryStats::default(),
                 diffs: vec![0.0f64; it.query.len()],
                 pending: Vec::new(),
+                refiner: Refiner::new(it.query, lambda, metric, ndf),
             });
         }
 
@@ -172,7 +172,7 @@ impl IvaIndex {
                     &st.shared,
                     &mut st.cursors,
                     tid,
-                    &st.lambda,
+                    st.lambda,
                     ndf,
                     &mut st.diffs,
                 )?;
@@ -184,7 +184,7 @@ impl IvaIndex {
             }
             if total_pending >= refine_batch {
                 let refine_start = measured.then(thread_cpu_time);
-                flush_shared(table, metric, ndf, &mut items)?;
+                flush_shared(table, &mut items)?;
                 total_pending = 0;
                 if let Some(t) = refine_start {
                     refine_nanos += thread_cpu_time().saturating_sub(t);
@@ -193,7 +193,7 @@ impl IvaIndex {
         }
         if total_pending > 0 {
             let refine_start = measured.then(thread_cpu_time);
-            flush_shared(table, metric, ndf, &mut items)?;
+            flush_shared(table, &mut items)?;
             if let Some(t) = refine_start {
                 refine_nanos += thread_cpu_time().saturating_sub(t);
             }

@@ -17,6 +17,17 @@
 //!   serial order: by induction its pool equals the serial pool at every
 //!   step, so it admits exactly the serially-admitted candidates.
 //!
+//! Workers refine with early abandon against their *private* pool's
+//! threshold (see [`crate::Refiner`]), so a recorded `actual` is either
+//! the exact distance or, for an abandoned candidate, some value at or
+//! above the worker's threshold at that point. The replay stays exact
+//! because the merged pool's threshold at a position is never above the
+//! worker's: each of the worker's `k` best candidates either sits in the
+//! merged pool's universe too, or was not fetched serially, so its
+//! distance is at or above the serial threshold there. An abandoned value
+//! is therefore rejected by the replay's `insert_at`, just as the true
+//! distance would have been (DESIGN.md §9).
+//!
 //! Surplus worker fetches the replay rejects are reported as
 //! [`QueryStats::speculative_accesses`]; the exact distances they computed
 //! are simply discarded. Refinement work rides inside the workers (a fetch
@@ -30,7 +41,8 @@ use crate::index::{IvaIndex, QueryOutcome, ScanCarry, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::{Metric, WeightScheme};
 use crate::pool::ResultPool;
-use crate::query::{exact_distance, Query};
+use crate::query::Query;
+use crate::refine::Refiner;
 use crate::timing::thread_cpu_time;
 
 /// Smallest tuple-list segment worth a worker thread; requests for more
@@ -71,6 +83,8 @@ struct Candidate {
     tid: u64,
     ptr: u64,
     est: f64,
+    /// The exact distance, or a value at or above the worker pool's
+    /// threshold when refinement abandoned the candidate.
     actual: f64,
 }
 
@@ -245,6 +259,7 @@ impl IvaIndex {
             refine_nanos: 0,
         };
         let mut diffs = vec![0.0f64; query.len()];
+        let mut refiner = Refiner::new(query, lambda, metric, ndf);
         // Admitted-but-not-yet-fetched candidates, `(ptr, est)` in scan
         // order; flushed as one page-coalesced batch read.
         let mut pending: Vec<(u64, f64)> = Vec::new();
@@ -261,11 +276,10 @@ impl IvaIndex {
             if pool.admits(est) {
                 if refine_batch <= 1 {
                     let refine_start = measured.then(thread_cpu_time);
-                    let rec = table.get(RecordPtr(ptr))?;
-                    let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
-                    pool.insert_at(rec.tid, actual, RecordPtr(ptr));
+                    let (tid, actual) = refiner.fetch(table, RecordPtr(ptr), pool.threshold())?;
+                    pool.insert_at(tid, actual, RecordPtr(ptr));
                     out.candidates.push(Candidate {
-                        tid: rec.tid,
+                        tid,
                         ptr,
                         est,
                         actual,
@@ -277,16 +291,7 @@ impl IvaIndex {
                     pending.push((ptr, est));
                     if pending.len() >= refine_batch {
                         let refine_start = measured.then(thread_cpu_time);
-                        flush_pending(
-                            table,
-                            query,
-                            lambda,
-                            metric,
-                            ndf,
-                            &mut pending,
-                            &mut pool,
-                            &mut out,
-                        )?;
+                        flush_pending(table, &mut refiner, &mut pending, &mut pool, &mut out)?;
                         if let Some(rt) = refine_start {
                             out.refine_nanos += thread_cpu_time().saturating_sub(rt);
                         }
@@ -296,16 +301,7 @@ impl IvaIndex {
         }
         if !pending.is_empty() {
             let refine_start = measured.then(thread_cpu_time);
-            flush_pending(
-                table,
-                query,
-                lambda,
-                metric,
-                ndf,
-                &mut pending,
-                &mut pool,
-                &mut out,
-            )?;
+            flush_pending(table, &mut refiner, &mut pending, &mut pool, &mut out)?;
             if let Some(rt) = refine_start {
                 out.refine_nanos += thread_cpu_time().saturating_sub(rt);
             }
@@ -326,13 +322,9 @@ impl IvaIndex {
 /// worker fetches; the replay filters it back down to exactly that set
 /// (rejects are counted speculative), keeping the merge input — and the
 /// final top-k — bit-identical for every batch size.
-#[allow(clippy::too_many_arguments)]
 fn flush_pending<M: Metric>(
     table: &SwtTable,
-    query: &Query,
-    lambda: &[f64],
-    metric: &M,
-    ndf: f64,
+    refiner: &mut Refiner<'_, M>,
     pending: &mut Vec<(u64, f64)>,
     pool: &mut ResultPool,
     out: &mut SegmentScan,
@@ -341,13 +333,13 @@ fn flush_pending<M: Metric>(
         return Ok(());
     }
     let ptrs: Vec<RecordPtr> = pending.iter().map(|&(p, _)| RecordPtr(p)).collect();
-    let recs = table.get_batch(&ptrs)?;
-    for (&(ptr, est), rec) in pending.iter().zip(&recs) {
+    let pins = table.file().pin_records(&ptrs)?;
+    for (i, &(ptr, est)) in pending.iter().enumerate() {
         if pool.admits(est) {
-            let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
-            pool.insert_at(rec.tid, actual, RecordPtr(ptr));
+            let (tid, actual) = refiner.fetch_pinned(table, &pins, i, pool.threshold())?;
+            pool.insert_at(tid, actual, RecordPtr(ptr));
             out.candidates.push(Candidate {
-                tid: rec.tid,
+                tid,
                 ptr,
                 est,
                 actual,

@@ -60,6 +60,11 @@ impl Query {
         self.values.is_empty()
     }
 
+    /// Index of `attr` in iteration order, if the query defines it.
+    pub(crate) fn position(&self, attr: AttrId) -> Option<usize> {
+        self.values.binary_search_by_key(&attr, |(a, _)| *a).ok()
+    }
+
     /// Iterate `(attr, value)` in attribute order.
     pub fn iter(&self) -> impl Iterator<Item = (AttrId, &QueryValue)> {
         self.values.iter().map(|(a, v)| (*a, v))

@@ -24,7 +24,8 @@ use crate::error::Result;
 use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::{Metric, WeightScheme};
-use crate::query::{exact_distance, Query};
+use crate::query::Query;
+use crate::refine::Refiner;
 use crate::timing::thread_cpu_time;
 
 impl IvaIndex {
@@ -128,14 +129,18 @@ impl IvaIndex {
             }
         }
         cands.sort_unstable_by_key(|&(_, ptr)| ptr);
+        let mut refiner = Refiner::new(query, lambda, metric, ndf);
         let mut actuals: Vec<f64> = vec![0.0; scanned.len()];
         for chunk in cands.chunks(REFINE_CHUNK) {
             let ptrs: Vec<RecordPtr> = chunk.iter().map(|&(_, p)| RecordPtr(p)).collect();
-            let recs = table.get_batch(&ptrs)?;
-            stats.table_accesses += recs.len() as u64;
-            for (&(i, _), rec) in chunk.iter().zip(&recs) {
+            let pins = table.file().pin_records(&ptrs)?;
+            stats.table_accesses += pins.len() as u64;
+            for (j, &(i, _)) in chunk.iter().enumerate() {
+                // Scored ahead of the scan-order replay below, so no pool
+                // threshold applies yet: every distance is exact.
+                let (_, actual) = refiner.fetch_pinned(table, &pins, j, f64::INFINITY)?;
                 if let Some(a) = actuals.get_mut(i) {
-                    *a = exact_distance(&rec.tuple, query, lambda, metric, ndf);
+                    *a = actual;
                 }
             }
         }
@@ -174,11 +179,12 @@ impl IvaIndex {
                 }
                 let round = leftovers.get(i..j).unwrap_or(&[]);
                 let ptrs: Vec<RecordPtr> = round.iter().map(|&(_, p, _)| RecordPtr(p)).collect();
-                let recs = table.get_batch(&ptrs)?;
-                for (&(tid, ptr, lb), rec) in round.iter().zip(&recs) {
+                let pins = table.file().pin_records(&ptrs)?;
+                for (j, &(tid, ptr, lb)) in round.iter().enumerate() {
                     if pool.admits(lb) {
                         stats.table_accesses += 1;
-                        let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
+                        let (_, actual) =
+                            refiner.fetch_pinned(table, &pins, j, pool.threshold())?;
                         pool.insert_at(tid, actual, RecordPtr(ptr));
                     } else {
                         stats.speculative_accesses += 1;
@@ -203,6 +209,7 @@ mod tests {
     use crate::config::IvaConfig;
     use crate::metric::MetricKind;
     use crate::pool::ResultPool;
+    use crate::query::exact_distance;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
 

@@ -20,9 +20,12 @@ mod table;
 mod value;
 
 pub use error::{Result, SwtError};
-pub use record::{decode_record, encode_record, record_len};
+pub use record::{
+    decode_record, encode_record, record_len, FieldRef, RecordFields, TextRef, TextSpan,
+    TextStrings,
+};
 pub use schema::{AttrDef, AttrId, AttrType, Catalog};
 pub use stats::{AttrStats, TableStats};
 pub use swt::SwtTable;
-pub use table::{RecordPtr, StoredRecord, TableFile, TableScan, Tid};
+pub use table::{RecordHead, RecordPins, RecordPtr, StoredRecord, TableFile, TableScan, Tid};
 pub use value::{Tuple, Value};

@@ -72,52 +72,215 @@ pub fn record_len(tuple: &Tuple) -> usize {
     len
 }
 
-/// Decode a record produced by [`encode_record`]. Returns the tuple and the
-/// number of bytes consumed.
-pub fn decode_record(buf: &[u8]) -> Result<(Tuple, usize)> {
-    let corrupt = |m: &str| SwtError::Corrupt(format!("record: {m}"));
-    let n_fields = le_u16(buf, 0).ok_or_else(|| corrupt("truncated field count"))? as usize;
-    let mut pos = 2;
-    let mut tuple = Tuple::new();
-    for _ in 0..n_fields {
+/// One field of an interpreted record, borrowed from the record bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldRef<'a> {
+    /// A numerical value.
+    Num(f64),
+    /// A text value: its strings, still in the record bytes.
+    Text(TextRef<'a>),
+}
+
+impl FieldRef<'_> {
+    /// Materialize the field as an owned [`Value`].
+    pub fn to_value(&self) -> Result<Value> {
+        match self {
+            FieldRef::Num(v) => Ok(Value::Num(*v)),
+            FieldRef::Text(t) => {
+                let mut strings = Vec::with_capacity(t.count());
+                for bytes in t.strings() {
+                    let s = std::str::from_utf8(bytes)
+                        .map_err(|_| SwtError::Corrupt("record: non-utf8 string".into()))?;
+                    strings.push(s.to_string());
+                }
+                Ok(Value::Text(strings))
+            }
+        }
+    }
+}
+
+/// A text value inside a record: the `[len: u16][bytes]` entries of its
+/// strings. Only [`RecordFields`] creates one, after checking every
+/// entry's bounds and UTF-8, so iterating it cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TextRef<'a> {
+    record: &'a [u8],
+    span: TextSpan,
+}
+
+impl<'a> TextRef<'a> {
+    /// Number of strings in the value (at least one).
+    pub fn count(&self) -> usize {
+        self.span.count as usize
+    }
+
+    /// The strings' bytes (valid UTF-8), in stored order.
+    pub fn strings(&self) -> TextStrings<'a> {
+        self.span.strings(self.record)
+    }
+
+    /// The value's position in its record, detached from the borrow so a
+    /// caller can keep it in reusable scratch space.
+    pub fn to_span(&self) -> TextSpan {
+        self.span
+    }
+}
+
+/// Where a text value lies in its record (see [`TextRef::to_span`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TextSpan {
+    start: usize,
+    end: usize,
+    count: u8,
+}
+
+impl TextSpan {
+    /// The strings of this value in `record`, which must be the record
+    /// the span was taken from. Over any other bytes the iterator stays
+    /// in bounds but yields unspecified slices.
+    pub fn strings(self, record: &[u8]) -> TextStrings<'_> {
+        TextStrings {
+            rest: record.get(self.start..self.end).unwrap_or(&[]),
+        }
+    }
+}
+
+/// Iterator over the strings of a [`TextRef`], as byte slices.
+#[derive(Debug, Clone)]
+pub struct TextStrings<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for TextStrings<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let len = le_u16(self.rest, 0)? as usize;
+        let bytes = self.rest.get(2..2 + len)?;
+        self.rest = self.rest.get(2 + len..).unwrap_or(&[]);
+        Some(bytes)
+    }
+}
+
+/// Borrowed, validating iterator over the fields of an interpreted
+/// record, in stored order.
+///
+/// Each step checks what [`decode_record`] checks — structure, known
+/// tags, non-empty text values, the bounds and UTF-8 of every string —
+/// whether or not the caller looks at the field, and nothing is copied.
+/// The first error ends the iteration. Once it has returned `None`
+/// without an error, [`RecordFields::consumed`] is the record's encoded
+/// length. A record may repeat an attribute; the last occurrence is the
+/// one [`decode_record`] keeps.
+#[derive(Debug, Clone)]
+pub struct RecordFields<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    remaining: usize,
+}
+
+impl<'a> RecordFields<'a> {
+    /// Start iterating the record at the front of `buf`.
+    pub fn new(buf: &'a [u8]) -> Result<Self> {
+        let n_fields = le_u16(buf, 0).ok_or_else(|| corrupt("truncated field count"))?;
+        Ok(Self {
+            buf,
+            pos: 2,
+            remaining: n_fields as usize,
+        })
+    }
+
+    /// Bytes of the record consumed so far.
+    pub fn consumed(&self) -> usize {
+        self.pos
+    }
+
+    fn field(&mut self) -> Result<(AttrId, FieldRef<'a>)> {
+        let buf = self.buf;
+        let mut pos = self.pos;
         let attr = AttrId(le_u32(buf, pos).ok_or_else(|| corrupt("truncated field header"))?);
         let tag = *buf
             .get(pos + 4)
             .ok_or_else(|| corrupt("truncated field header"))?;
         pos += 5;
-        match tag {
+        let field = match tag {
             TAG_NUM => {
                 let bits = le_u64(buf, pos).ok_or_else(|| corrupt("truncated numeric payload"))?;
                 pos += 8;
-                tuple.set(attr, Value::Num(f64::from_bits(bits)));
+                FieldRef::Num(f64::from_bits(bits))
             }
             TAG_TEXT => {
-                let n_strings = *buf
+                let count = *buf
                     .get(pos)
-                    .ok_or_else(|| corrupt("truncated string count"))?
-                    as usize;
+                    .ok_or_else(|| corrupt("truncated string count"))?;
                 pos += 1;
-                if n_strings == 0 {
+                if count == 0 {
                     return Err(corrupt("empty text value"));
                 }
-                let mut strings = Vec::with_capacity(n_strings);
-                for _ in 0..n_strings {
+                let start = pos;
+                for _ in 0..count {
                     let slen = le_u16(buf, pos).ok_or_else(|| corrupt("truncated string length"))?
                         as usize;
                     pos += 2;
-                    let bytes = buf
-                        .get(pos..pos + slen)
-                        .ok_or_else(|| corrupt("truncated string bytes"))?;
-                    let s = std::str::from_utf8(bytes).map_err(|_| corrupt("non-utf8 string"))?;
-                    strings.push(s.to_string());
+                    if buf.get(pos..pos + slen).is_none() {
+                        return Err(corrupt("truncated string bytes"));
+                    }
                     pos += slen;
                 }
-                tuple.set(attr, Value::Text(strings));
+                // UTF-8 of every string. When the whole run of entries is
+                // ASCII (length prefixes below 128 are ASCII bytes too), so
+                // is every string, and one branch-free pass decides it.
+                let entries = buf.get(start..pos).unwrap_or(&[]);
+                if entries.iter().fold(0u8, |acc, &b| acc | b) >= 0x80 {
+                    for bytes in (TextStrings { rest: entries }) {
+                        std::str::from_utf8(bytes).map_err(|_| corrupt("non-utf8 string"))?;
+                    }
+                }
+                FieldRef::Text(TextRef {
+                    record: buf,
+                    span: TextSpan {
+                        start,
+                        end: pos,
+                        count,
+                    },
+                })
             }
             x => return Err(corrupt(&format!("unknown field tag {x}"))),
-        }
+        };
+        self.pos = pos;
+        Ok((attr, field))
     }
-    Ok((tuple, pos))
+}
+
+impl<'a> Iterator for RecordFields<'a> {
+    type Item = Result<(AttrId, FieldRef<'a>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let item = self.field();
+        // Fuse on error: a corrupt field leaves no boundary to resume at.
+        self.remaining = if item.is_ok() { self.remaining - 1 } else { 0 };
+        Some(item)
+    }
+}
+
+fn corrupt(m: &str) -> SwtError {
+    SwtError::Corrupt(format!("record: {m}"))
+}
+
+/// Decode a record produced by [`encode_record`]. Returns the tuple and the
+/// number of bytes consumed. Built on [`RecordFields`], so it accepts and
+/// rejects exactly the records the borrowed iterator does.
+pub fn decode_record(buf: &[u8]) -> Result<(Tuple, usize)> {
+    let mut fields = RecordFields::new(buf)?;
+    let mut tuple = Tuple::new();
+    for field in fields.by_ref() {
+        let (attr, value) = field?;
+        tuple.set(attr, value.to_value()?);
+    }
+    Ok((tuple, fields.consumed()))
 }
 
 #[cfg(test)]

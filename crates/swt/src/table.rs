@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use iva_storage::codec::{le_u32, le_u64};
 use iva_storage::vfs::Vfs;
-use iva_storage::{ByteLog, IoStats, PagerOptions, USER_HEADER_LEN};
+use iva_storage::{ByteLog, IoStats, PagerOptions, PinnedPages, USER_HEADER_LEN};
 
 use crate::error::{Result, SwtError};
 use crate::record::{decode_record, encode_record};
@@ -31,6 +31,54 @@ pub struct RecordPtr(pub u64);
 
 const FLAG_DELETED: u8 = 1;
 const RECORD_HEADER: usize = 4 + 8 + 1;
+
+/// Payload bytes [`TableFile::read_payload`] reads together with the
+/// header before it knows the record's length: about twice the mean record
+/// of the paper's workloads (~450 bytes), so almost every record inside one
+/// page is fetched with a single page lookup.
+const SPECULATIVE_PAYLOAD: usize = 1024;
+
+/// The header fields of a stored record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHead {
+    /// Tuple id.
+    pub tid: Tid,
+    /// Tombstone flag.
+    pub deleted: bool,
+}
+
+/// A parsed, bounds-checked stored-record header.
+#[derive(Debug, Clone, Copy)]
+struct RecordMeta {
+    at: u64,
+    len: usize,
+    head: RecordHead,
+}
+
+impl RecordMeta {
+    fn payload_at(&self) -> u64 {
+        self.at + RECORD_HEADER as u64
+    }
+}
+
+/// Pages pinned for a batch of record reads (see
+/// [`TableFile::pin_records`]).
+pub struct RecordPins {
+    metas: Vec<RecordMeta>,
+    pages: PinnedPages,
+}
+
+impl RecordPins {
+    /// Number of records pinned.
+    pub fn len(&self) -> usize {
+        self.metas.len()
+    }
+
+    /// True if no records are pinned.
+    pub fn is_empty(&self) -> bool {
+        self.metas.is_empty()
+    }
+}
 
 /// A record fetched from the table file.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,77 +203,138 @@ impl TableFile {
 
     /// Random-access fetch of the record at `ptr`.
     pub fn get(&self, ptr: RecordPtr) -> Result<StoredRecord> {
-        let mut header = [0u8; RECORD_HEADER];
-        self.log.read_at(ptr.0, &mut header)?;
-        let (rec_len, tid, flags) = parse_record_header(ptr.0, &header)?;
-        let mut payload = vec![0u8; rec_len];
-        self.log
-            .read_at(ptr.0 + RECORD_HEADER as u64, &mut payload)?;
-        let (tuple, used) = decode_record(&payload)?;
-        if used != rec_len {
-            return Err(SwtError::Corrupt(format!(
-                "record at {} decoded {used} of {rec_len} bytes",
-                ptr.0
-            )));
-        }
-        Ok(StoredRecord {
-            tid,
-            deleted: flags & FLAG_DELETED != 0,
-            tuple,
-        })
+        let mut payload = Vec::new();
+        let head = self.read_payload(ptr, &mut payload)?;
+        materialize(ptr, head, &payload)
     }
 
-    /// Batched random-access fetch: results come back in input order, but
-    /// the disk I/O happens in **page order** — the pointers' pages are
-    /// sorted, deduplicated and coalesced into sequential runs, so several
-    /// records on one page cost a single read and adjacent pages cost one
-    /// seek (see [`Pager::read_batch`](iva_storage::Pager::read_batch)).
+    /// Read the payload of the record at `ptr` into `buf`, replacing its
+    /// contents (the buffer's capacity is reused across calls), and return
+    /// the record's header. The payload is not decoded; iterate it with
+    /// [`RecordFields`](crate::RecordFields).
+    ///
+    /// One read covers the header and, speculatively, the payload up to the
+    /// end of the header's page (at most 1 KiB), so a record inside one
+    /// page costs one page lookup, not two.
+    pub fn read_payload(&self, ptr: RecordPtr, buf: &mut Vec<u8>) -> Result<RecordHead> {
+        let page = self.log.pager().page_size() as u64;
+        let to_page_end = page - ptr.0 % page;
+        let first = to_page_end
+            .min(self.log.len().saturating_sub(ptr.0))
+            .min((RECORD_HEADER + SPECULATIVE_PAYLOAD) as u64)
+            .max(RECORD_HEADER as u64) as usize;
+        fill_zeroed(buf, first);
+        self.log.read_at(ptr.0, buf)?;
+        let header = buf
+            .get(..RECORD_HEADER)
+            .and_then(|h| <[u8; RECORD_HEADER]>::try_from(h).ok())
+            .ok_or_else(|| SwtError::Corrupt(format!("record header at {} unreadable", ptr.0)))?;
+        let meta = self.parse_header(ptr.0, &header)?;
+        let have = first - RECORD_HEADER;
+        buf.copy_within(RECORD_HEADER.., 0);
+        buf.truncate(have.min(meta.len));
+        if meta.len > have {
+            buf.resize(meta.len, 0);
+            let rest = buf.get_mut(have..).unwrap_or_default();
+            self.log.read_at(meta.payload_at() + have as u64, rest)?;
+        }
+        Ok(meta.head)
+    }
+
+    /// Pin every page holding the records at `ptrs` for
+    /// [`TableFile::read_payload_pinned`]. The disk I/O happens in **page
+    /// order**: the pages are sorted, deduplicated and coalesced into
+    /// sequential runs, so several records on one page cost a single read
+    /// and adjacent pages cost one seek (see
+    /// [`Pager::read_batch`](iva_storage::Pager::read_batch)).
     ///
     /// Two passes: pin the record headers first (their lengths are not
-    /// known up front), then pin every page the full records span and
-    /// decode. Duplicate pointers are fine and decode independently.
-    pub fn get_batch(&self, ptrs: &[RecordPtr]) -> Result<Vec<StoredRecord>> {
-        if ptrs.len() <= 1 {
-            return ptrs.iter().map(|&p| self.get(p)).collect();
-        }
+    /// known up front), then pin every page the payloads span. Every
+    /// header's length is checked against the file before any payload
+    /// page is enumerated. Duplicate pointers are fine.
+    pub fn pin_records(&self, ptrs: &[RecordPtr]) -> Result<RecordPins> {
         // Pass 1: headers, page-coalesced.
         let mut ids = Vec::new();
         for &p in ptrs {
             self.log.pages_spanning(p.0, RECORD_HEADER, &mut ids);
         }
         let header_pins = self.log.pin_pages(&ids)?;
-        let mut metas: Vec<(usize, Tid, u8)> = Vec::with_capacity(ptrs.len());
+        let mut metas = Vec::with_capacity(ptrs.len());
         ids.clear();
         for &p in ptrs {
             let mut header = [0u8; RECORD_HEADER];
             self.log.read_at_pinned(p.0, &mut header, &header_pins)?;
-            let (rec_len, tid, flags) = parse_record_header(p.0, &header)?;
-            metas.push((rec_len, tid, flags));
+            let meta = self.parse_header(p.0, &header)?;
             self.log
-                .pages_spanning(p.0 + RECORD_HEADER as u64, rec_len, &mut ids);
+                .pages_spanning(meta.payload_at(), meta.len, &mut ids);
+            metas.push(meta);
         }
         // Pass 2: payloads. Header pages were published to the buffer pool
         // by pass 1, so re-pinning shared pages here is a cache hit.
-        let pins = self.log.pin_pages(&ids)?;
+        let pages = self.log.pin_pages(&ids)?;
+        Ok(RecordPins { metas, pages })
+    }
+
+    /// [`TableFile::read_payload`] for the `i`-th pointer passed to
+    /// [`TableFile::pin_records`], served from its pins.
+    pub fn read_payload_pinned(
+        &self,
+        pins: &RecordPins,
+        i: usize,
+        buf: &mut Vec<u8>,
+    ) -> Result<RecordHead> {
+        let meta = pins.metas.get(i).ok_or_else(|| {
+            SwtError::InvalidArgument(format!("record {i} of a {}-record pin set", pins.len()))
+        })?;
+        fill_zeroed(buf, meta.len);
+        self.log
+            .read_at_pinned(meta.payload_at(), buf, &pins.pages)?;
+        Ok(meta.head)
+    }
+
+    /// Batched random-access fetch: results come back in input order, the
+    /// disk I/O happens page-ordered and coalesced (see
+    /// [`TableFile::pin_records`]). Duplicate pointers decode
+    /// independently.
+    pub fn get_batch(&self, ptrs: &[RecordPtr]) -> Result<Vec<StoredRecord>> {
+        if ptrs.len() <= 1 {
+            return ptrs.iter().map(|&p| self.get(p)).collect();
+        }
+        let pins = self.pin_records(ptrs)?;
+        let mut payload = Vec::new();
         let mut out = Vec::with_capacity(ptrs.len());
-        for (&p, &(rec_len, tid, flags)) in ptrs.iter().zip(&metas) {
-            let mut payload = vec![0u8; rec_len];
-            self.log
-                .read_at_pinned(p.0 + RECORD_HEADER as u64, &mut payload, &pins)?;
-            let (tuple, used) = decode_record(&payload)?;
-            if used != rec_len {
-                return Err(SwtError::Corrupt(format!(
-                    "record at {} decoded {used} of {rec_len} bytes",
-                    p.0
-                )));
-            }
-            out.push(StoredRecord {
-                tid,
-                deleted: flags & FLAG_DELETED != 0,
-                tuple,
-            });
+        for (i, &p) in ptrs.iter().enumerate() {
+            let head = self.read_payload_pinned(&pins, i, &mut payload)?;
+            out.push(materialize(p, head, &payload)?);
         }
         Ok(out)
+    }
+
+    /// Parse a stored-record header `[rec_len: u32][tid: u64][flags: u8]`
+    /// read at `at`, rejecting a length that runs past the end of the
+    /// file before anything is sized by it.
+    fn parse_header(&self, at: u64, header: &[u8; RECORD_HEADER]) -> Result<RecordMeta> {
+        let corrupt = || SwtError::Corrupt(format!("record header at {at} unreadable"));
+        let len = le_u32(header, 0).ok_or_else(corrupt)?;
+        let tid = le_u64(header, 4).ok_or_else(corrupt)?;
+        let flags = *header.get(12).ok_or_else(corrupt)?;
+        let fits = at
+            .checked_add(RECORD_HEADER as u64 + u64::from(len))
+            .is_some_and(|end| end <= self.log.len());
+        if !fits {
+            return Err(SwtError::Corrupt(format!(
+                "record at {at} claims {len} payload bytes past the {}-byte file",
+                self.log.len()
+            )));
+        }
+        Ok(RecordMeta {
+            at,
+            len: len as usize,
+            head: RecordHead {
+                tid,
+                deleted: flags & FLAG_DELETED != 0,
+            },
+        })
     }
 
     /// Tombstone the record at `ptr` (idempotent).
@@ -319,13 +428,28 @@ impl TableFile {
     }
 }
 
-/// Parse a stored-record header `[rec_len: u32][tid: u64][flags: u8]`.
-fn parse_record_header(at: u64, header: &[u8; RECORD_HEADER]) -> Result<(usize, Tid, u8)> {
-    let corrupt = || SwtError::Corrupt(format!("record header at {at} unreadable"));
-    let rec_len = le_u32(header, 0).ok_or_else(corrupt)? as usize;
-    let tid = le_u64(header, 4).ok_or_else(corrupt)?;
-    let flags = *header.get(12).ok_or_else(corrupt)?;
-    Ok((rec_len, tid, flags))
+/// Decode a fetched payload into a [`StoredRecord`], requiring the record
+/// to fill its stored length exactly.
+fn materialize(ptr: RecordPtr, head: RecordHead, payload: &[u8]) -> Result<StoredRecord> {
+    let (tuple, used) = decode_record(payload)?;
+    if used != payload.len() {
+        return Err(SwtError::Corrupt(format!(
+            "record at {} decoded {used} of {} bytes",
+            ptr.0,
+            payload.len()
+        )));
+    }
+    Ok(StoredRecord {
+        tid: head.tid,
+        deleted: head.deleted,
+        tuple,
+    })
+}
+
+/// Make `buf` exactly `len` zero bytes, reusing its allocation.
+fn fill_zeroed(buf: &mut Vec<u8>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0);
 }
 
 /// Iterator over `(ptr, record)` pairs in file order.
@@ -342,19 +466,16 @@ impl Iterator for TableScan<'_> {
             return None;
         }
         let ptr = RecordPtr(self.pos);
-        match self.table.get(ptr) {
-            Ok(rec) => {
-                // Advance past header + payload.
-                let mut len_buf = [0u8; 4];
-                if let Err(e) = self.table.log.read_at(self.pos, &mut len_buf) {
-                    return Some(Err(e.into()));
-                }
-                let rec_len = u32::from_le_bytes(len_buf) as u64;
-                self.pos += RECORD_HEADER as u64 + rec_len;
-                Some(Ok((ptr, rec)))
-            }
-            Err(e) => Some(Err(e)),
+        let mut payload = Vec::new();
+        let rec = self
+            .table
+            .read_payload(ptr, &mut payload)
+            .and_then(|head| materialize(ptr, head, &payload));
+        if rec.is_ok() {
+            // Advance past header + payload.
+            self.pos += (RECORD_HEADER + payload.len()) as u64;
         }
+        Some(rec.map(|rec| (ptr, rec)))
     }
 }
 
@@ -499,6 +620,50 @@ mod tests {
         let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
         t.append(&tuple(0)).unwrap();
         assert!(t.get(RecordPtr(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn forged_record_length_is_rejected_before_allocation() {
+        let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
+        let mut ptrs = Vec::new();
+        for i in 0..20 {
+            ptrs.push(t.append(&tuple(i)).unwrap().1);
+        }
+        // Forge `rec_len = u32::MAX` into a record header.
+        let forged = ptrs[7];
+        t.log.write_at(forged.0, &u32::MAX.to_le_bytes()).unwrap();
+        assert!(matches!(t.get(forged), Err(SwtError::Corrupt(_))));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            t.read_payload(forged, &mut buf),
+            Err(SwtError::Corrupt(_))
+        ));
+        assert!(buf.capacity() < 1 << 20, "sized by the forged length");
+        let batch = [ptrs[1], forged, ptrs[12]];
+        assert!(matches!(t.get_batch(&batch), Err(SwtError::Corrupt(_))));
+        assert!(matches!(t.pin_records(&batch), Err(SwtError::Corrupt(_))));
+        // The neighbours are untouched.
+        assert_eq!(t.get(ptrs[8]).unwrap().tuple, tuple(8));
+    }
+
+    #[test]
+    fn pinned_payload_reads_match_get() {
+        let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
+        let mut ptrs = Vec::new();
+        for i in 0..40 {
+            ptrs.push(t.append(&tuple(i)).unwrap().1);
+        }
+        let req = [ptrs[30], ptrs[2], ptrs[39], ptrs[2]];
+        let pins = t.pin_records(&req).unwrap();
+        assert_eq!(pins.len(), req.len());
+        let mut buf = Vec::new();
+        for (i, &p) in req.iter().enumerate() {
+            let head = t.read_payload_pinned(&pins, i, &mut buf).unwrap();
+            let rec = t.get(p).unwrap();
+            assert_eq!(head.tid, rec.tid);
+            assert_eq!(decode_record(&buf).unwrap().0, rec.tuple);
+        }
+        assert!(t.read_payload_pinned(&pins, 4, &mut buf).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use iva_text::{
-    edit_distance_bytes, edit_distance_within, est_prime, GramMultiset, PreparedMatcher,
-    QueryStringMatcher, SigCodec,
+    edit_distance_bytes, edit_distance_within, edit_distance_within_in, est_prime, EditScratch,
+    GramMultiset, PreparedMatcher, QueryStringMatcher, SigCodec,
 };
 
 fn short_string() -> impl Strategy<Value = Vec<u8>> {
@@ -56,6 +56,29 @@ proptest! {
             prop_assert_eq!(banded, Some(full));
         } else {
             prop_assert_eq!(banded, None);
+        }
+    }
+
+    /// The scratch-reusing verifier (bit-parallel up to 64 bytes, banded
+    /// beyond) agrees with the full DP on every side of the bound, over a
+    /// small alphabet so distances vary, across both sides of the 64-byte
+    /// word and with one scratch reused across calls.
+    #[test]
+    fn scratch_verifier_matches_full(
+        pairs in proptest::collection::vec(
+            (
+                proptest::collection::vec(b'a'..b'e', 0..90),
+                proptest::collection::vec(b'a'..b'e', 0..90),
+                0usize..100,
+            ),
+            1..6,
+        ),
+    ) {
+        let mut scratch = EditScratch::new();
+        for (a, b, bound) in &pairs {
+            let full = edit_distance_bytes(a, b);
+            let got = edit_distance_within_in(a, b, *bound, &mut scratch);
+            prop_assert_eq!(got, (full <= *bound).then_some(full));
         }
     }
 
